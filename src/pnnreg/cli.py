@@ -106,16 +106,15 @@ def _sanitize(obj):
     return obj
 
 
-def _add_common(sp, tol_default, max_iter_default, need_design=True, need_obs=False):
-    if need_design:
-        sp.add_argument("--design", required=True, help="CSV file with the n-by-p design matrix")
+def _add_common(sp, tol_default, max_iter_default, need_obs=False, need_model=True):
+    sp.add_argument("--design", required=True, help="CSV file with the n-by-p design matrix")
     if need_obs:
         sp.add_argument("--obs", required=True, help="CSV file with the length-n observation")
-    sp.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
-    sp.add_argument("--q", type=float, default=1.0, help="sparsity exponent in (0, 1]")
-    sp.add_argument("--radius", type=float, default=1.0, help="constraint-ball radius C")
+    if need_model:
+        sp.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
+        sp.add_argument("--q", type=float, default=1.0, help="sparsity exponent in (0, 1]")
+        sp.add_argument("--radius", type=float, default=1.0, help="constraint-ball radius C")
     sp.add_argument("--seed", type=int, default=42, help="64-bit seed for all randomized stages")
-    sp.add_argument("--trials", type=int, default=200, help="Monte Carlo trials where applicable")
     sp.add_argument("--tol", type=float, default=tol_default, help="solver tolerance")
     sp.add_argument("--max-iter", type=int, default=max_iter_default, help="solver iteration cap")
     sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
@@ -129,7 +128,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("width", help="width profile of a design matrix")
-    _add_common(sp, 1e-4, 2000)
+    _add_common(sp, 1e-4, 2000, need_model=False)
 
     sp = sub.add_parser("estimate", help="projected nearest-point estimate (q = 1)")
     _add_common(sp, 1e-6, 20000, need_obs=True)

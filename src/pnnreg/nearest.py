@@ -72,9 +72,10 @@ def vertex_vi_residual(A, b, radius, y_hat):
 
 
 def _spectral_bound(A, iters=30):
-    # power iteration on A^T A, deterministic start, padded upward
-    p = A.shape[1]
-    v = np.ones(p) / np.sqrt(p)
+    # power iteration on A^T A, padded upward. It starts from A's longest
+    # row r, so ||A r|| >= ||r||^2 > 0 unless A = 0; a fixed start such as
+    # the all-ones vector lies in A's null space when the columns sum to 0
+    v = A[int(np.argmax(np.einsum("ij,ij->i", A, A)))]
     est = 0.0
     for _ in range(iters):
         w = A.T @ (A @ v)
@@ -105,7 +106,7 @@ def l1_ls(A, b, radius, opts=None):
     tol = opts.tol if opts.tol is not None else 1e-6 * (1.0 + float(b @ b))
 
     n, p = A.shape
-    if radius == 0.0 or p == 0:
+    if radius == 0.0 or A.size == 0:
         theta = np.zeros(p)
         return NNSolution(theta, np.zeros(n), 0.0, 0, True)
     L = _spectral_bound(A)

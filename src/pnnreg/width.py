@@ -14,10 +14,15 @@ The lower value comes from a semidefinite relaxation
                     x_i' Z x_i <= t for all columns i,
 
 whose feasible set contains every genuine rank-(n-k) projection matrix.
-The relaxation is attacked from both sides: a projected subgradient
-method on the primal, and simplex-weighted eigenvalue-sum evaluations on
-the dual. The reported t_star is always a dual value, so
-sqrt(t_star) <= true width holds regardless of how far the primal got.
+Its dual maximizes, over simplex weights lam on the columns, the sum of
+the n-k smallest eigenvalues of sum_i lam_i x_i x_i' (Overton and
+Womersley 1993). One loop of exponentiated-gradient ascent on lam solves
+both sides: every step's eigendecomposition yields the dual value, its
+supergradient, and the bottom eigenprojector, which is itself a feasible
+primal point; averaging those projectors drives the primal value down
+(multiplicative weights, Arora, Hazan and Kale 2012). The reported t_star
+is always a dual value, so sqrt(t_star) <= true width holds regardless
+of how far the primal got.
 The upper value comes from rounding the primal matrix to a genuine
 projection (Gaussian sampling against Z^{1/2} plus a deterministic
 eigenvector candidate) and from a PCA heuristic; the best survives.
@@ -36,18 +41,18 @@ from .core import ProjectionOperator, as_matrix, eig_sym, make_rng
 class WidthOptions:
     """Knobs for the relaxation solver and the rounding stage.
 
-    tol is a relative primal-dual gap (with a small absolute floor so
-    zero-width cases can terminate); seed feeds the per-k rounding
-    streams (stream for index k is seed XOR k). ks limits the profile to a
-    subset of {0..n} when the full sweep is too expensive.
+    max_iter caps the dual ascent steps per k (one eigendecomposition
+    each); tol is a relative primal-dual gap (with a small absolute floor
+    so zero-width cases can terminate); repeats is the number of Gaussian
+    rounding draws; seed feeds the per-k rounding streams (stream for
+    index k is seed XOR k). ks limits the profile to a subset of {0..n}
+    when the full sweep is too expensive.
     """
 
     max_iter: int = 2000
     tol: float = 1e-4
     repeats: int = 64
     seed: int = 0
-    dual_iters: int = 200
-    dual_check: int = 50
     ks: tuple | None = None
 
 
@@ -61,72 +66,19 @@ class RelaxationResult:
     weights: np.ndarray
 
 
-def _simplex_project(v):
-    # Euclidean projection onto {w >= 0, sum w = 1}
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    rho = int(np.max(ind[u * ind > css]))
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
-def _trace_box_project(M, m):
-    """Nearest symmetric matrix with eigenvalues in [0,1] and trace m."""
-    n = M.shape[0]
-    if m <= 0:
-        return np.zeros_like(M)
-    if m >= n:
-        return np.eye(n)
-    w, V = eig_sym(0.5 * (M + M.T))
-    lo, hi = float(w.min()) - 1.0, float(w.max())
-    # shifted clip is monotone in the shift; bisect until the trace lands on m
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(w - mid, 0.0, 1.0).sum() > m:
-            lo = mid
-        else:
-            hi = mid
-    v = np.clip(w - hi, 0.0, 1.0)
-    free = (v > 0.0) & (v < 1.0)
-    if free.any():
-        v = np.clip(v + np.where(free, (m - v.sum()) / free.sum(), 0.0), 0.0, 1.0)
-    Z = (V * v) @ V.T
-    return 0.5 * (Z + Z.T)
-
-
-def _column_quadratics(X, Z):
-    # x_i' Z x_i for every column, in one pass
-    return np.einsum("ij,ij->j", X, Z @ X)
-
-
-def _dual_value(X, weights, k):
-    """Certified lower bound on the relaxation optimum at these weights.
-
-    The inner minimization over the spectral box with fixed trace picks the
-    n-k smallest eigenvalues of the weighted column outer-product sum. The
-    returned slope vector drives the ascent step.
-    """
-    n = X.shape[0]
-    m = n - k
-    A = (X * weights) @ X.T
-    w, V = eig_sym(A)
-    if m == 0:
-        return 0.0, np.zeros(X.shape[1])
-    Q = V[:, k:]
-    g = float(np.sum(w[k:]))
-    M = Q.T @ X
-    slope = np.einsum("ij,ij->j", M, M)
-    return g, slope
-
-
 def width_relaxation_solve(X, k, opts=None):
     """Solve the rank-(n-k) width relaxation from both sides.
 
-    Returns a RelaxationResult whose t_star is the best dual value found
-    (a true lower bound on the squared width), z_star the best feasible
-    primal matrix, and gap the primal-dual distance at exit. converged
-    means the relative gap fell below opts.tol.
+    Exponentiated-gradient ascent on the column weights lam: each step's
+    eigendecomposition of X diag(lam) X' gives the dual value (sum of the
+    n-k smallest eigenvalues), its supergradient, and a feasible primal
+    point (the bottom eigenprojector QQ'). Returns a RelaxationResult
+    whose t_star is the best dual value found (a true lower bound on the
+    squared width; zero when that value is within rounding of zero),
+    z_star the best primal matrix among the start point (n-k)/n * I, the
+    latest QQ' and the average of QQ' over the latest half of the steps,
+    and gap the primal-dual distance at exit. converged means the
+    relative gap fell below opts.tol.
     """
     X = as_matrix(X, "X")
     n, p = X.shape
@@ -148,68 +100,52 @@ def width_relaxation_solve(X, k, opts=None):
         t = float(sqn[i0])
         return RelaxationResult(t, np.eye(n), True, 0, 0.0, lam)
 
-    Z = (m / n) * np.eye(n)
-    evals = _column_quadratics(X, Z)
-    i0 = int(np.argmax(evals))
-    best_f = float(evals[i0])
-    best_Z = Z.copy()
+    best_Z = (m / n) * np.eye(n)
+    best_f = (m / n) * float(np.max(sqn))
     if best_f == 0.0:
-        return RelaxationResult(0.0, Z, True, 0, 0.0, np.full(p, 1.0 / p))
-    # normalized subgradient step scale; equals (n-k)/n by construction
-    a = best_f / sqn[i0]
-
-    best_g, _ = _dual_value(X, np.full(p, 1.0 / p), k)
-    best_lam = np.full(p, 1.0 / p)
-    counts = np.zeros(p)
-    it = 0
+        return RelaxationResult(0.0, best_Z, True, 0, 0.0, np.full(p, 1.0 / p))
     # absolute floor keeps the relative test meaningful when the true
     # width is zero and both sides sit at rounding level
     floor = 1e-12 * float(np.max(sqn))
 
-    def gap_ok(f, g):
-        return f - g <= opts.tol * f + floor
+    def done(f, g):
+        return f <= 0.0 or f - g <= opts.tol * f + floor
 
-    if not gap_ok(best_f, best_g):
-        for it in range(1, opts.max_iter + 1):
-            evals = _column_quadratics(X, Z)
-            i = int(np.argmax(evals))
-            f_cur = float(evals[i])
-            counts[i] += 1.0
-            if f_cur < best_f:
-                best_f = f_cur
-                best_Z = Z.copy()
-            x = X[:, i]
-            D = np.outer(x, x) / sqn[i]
-            Z = _trace_box_project(Z - (a / np.sqrt(it)) * D, m)
-            if it % opts.dual_check == 0:
-                lam = counts / counts.sum()
-                g, _ = _dual_value(X, lam, k)
-                if g > best_g:
-                    best_g, best_lam = g, lam
-                if gap_ok(best_f, best_g):
-                    break
-
-    # dual ascent polish: supergradient steps on the eigenvalue-sum value
-    lam = best_lam.copy()
-    for s in range(1, opts.dual_iters + 1):
-        g, slope = _dual_value(X, lam, k)
-        if g > best_g:
-            best_g, best_lam = g, lam.copy()
-        if gap_ok(best_f, best_g):
-            break
-        mx = float(np.max(np.abs(slope)))
-        if mx == 0.0:
-            break
-        lam = _simplex_project(lam + (0.5 / np.sqrt(s)) * slope / mx)
-    else:
-        g, _ = _dual_value(X, lam, k)
+    lam = np.full(p, 1.0 / p)
+    best_g, best_lam = -np.inf, lam
+    rate = np.log(p)
+    for it in range(opts.max_iter + 1):
+        w, V = np.linalg.eigh((X * lam) @ X.T)
+        g = float(np.sum(w[:m]))
         if g > best_g:
             best_g, best_lam = g, lam
+        Q = V[:, :m]
+        M = Q.T @ X
+        quad = np.einsum("ij,ij->j", M, M)
+        P = Q @ Q.T
+        # restart the average at every power of two: it then spans the
+        # latest half of the steps, past the early poor best responses
+        if it & (it - 1) == 0:
+            P_sum, quad_sum, count = np.zeros((n, n)), np.zeros(p), 0
+        P_sum += P
+        quad_sum += quad
+        count += 1
+        f_cur = float(np.max(quad))
+        if f_cur < best_f:
+            best_f, best_Z = f_cur, P
+        f_avg = float(np.max(quad_sum)) / count
+        if f_avg < best_f:
+            best_f, best_Z = f_avg, P_sum / count
+        if done(best_f, best_g) or it == opts.max_iter:
+            break
+        lam = lam * np.exp(np.sqrt(rate / (it + 1)) * quad / f_cur)
+        lam /= lam.sum()
 
-    t_star = max(best_g, 0.0)
-    gap = max(best_f - best_g, 0.0)
-    converged = bool(best_f <= 0.0 or gap_ok(best_f, best_g))
-    return RelaxationResult(t_star, best_Z, converged, it, gap, best_lam)
+    # a dual value inside the rounding floor certifies nothing above zero;
+    # reporting it would put sqrt-amplified noise above a zero width
+    t_star = best_g if best_g > floor else 0.0
+    gap = max(best_f - t_star, 0.0)
+    return RelaxationResult(t_star, best_Z, done(best_f, best_g), it, gap, best_lam)
 
 
 def _max_projected_norm(basis, X):

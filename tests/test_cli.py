@@ -83,17 +83,30 @@ def test_width_command(tmp_path, capsys):
     assert out["ks"] == [0, 1, 2]
     assert out["achieved"] == pytest.approx([1.0, 0.7243944158651863, 0.0], abs=1e-12)
     assert out["converged"] == [True, True, True]
-    assert set(out["config"]) == {
-        "design",
-        "sigma",
-        "q",
-        "radius",
-        "seed",
-        "trials",
-        "tol",
-        "max_iter",
-        "out",
-    }
+    # width reads no noise model and runs no Monte Carlo, so it takes no
+    # --sigma, --q, --radius or --trials
+    assert set(out["config"]) == {"design", "seed", "tol", "max_iter", "out"}
+
+
+def test_width_command_zero_column_design(tmp_path):
+    # a zero column is valid input: a finite report, never a usage error
+    X = np.array([[0.0, -1.1857198050052338], [0.0, 0.513052133880305], [0.0, 0.0]])
+    op = tmp_path / "w.json"
+    code = cli.main(["width", "--design", _design(tmp_path, X), "--out", str(op)])
+    assert code in (0, 3)
+    rep = json.loads(op.read_text())
+    assert np.all(np.isfinite(rep["relax_lower"])) and np.all(np.isfinite(rep["achieved"]))
+    assert np.all(np.asarray(rep["relax_lower"]) <= np.asarray(rep["achieved"]) + 1e-9)
+
+
+def test_commands_take_only_the_flags_they_read(tmp_path):
+    dp = _design(tmp_path, np.eye(2))
+    op = _design(tmp_path, np.array([[2.0, 2.0]]), "y.csv")
+    with pytest.raises(SystemExit):
+        cli.main(["width", "--design", dp, "--sigma", "2"])
+    for argv in (["estimate", "--obs", op], ["adapt", "--obs", op], ["risk"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv + ["--design", dp, "--trials", "5"])
 
 
 def test_width_nonconvergence_exits_3_but_writes_report(tmp_path):

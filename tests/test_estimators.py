@@ -18,6 +18,7 @@ from pnnreg import (
     pnn_select,
     pnn_solve,
     sample_gaussian,
+    vertex_vi_residual,
     width_profile,
 )
 
@@ -48,6 +49,17 @@ def test_nn_estimate_interior_point_and_zero_radius():
     assert np.max(np.abs(nn_estimate(inst, y) - y)) < 1e-3
     inst0 = ProblemInstance(np.eye(2), q=1.0, C=0.0, sigma=1.0)
     assert np.array_equal(nn_estimate(inst0, y), np.zeros(2))
+
+
+def test_nn_estimate_sign_paired_design():
+    # the hull of +-x and +-(-x) is the segment [-x, x]; 2x projects onto x
+    x = np.array([1.0, 2.0, -0.5])
+    inst = ProblemInstance(np.column_stack([x, -x]), q=1.0, C=1.0, sigma=1.0)
+    y = 2.0 * x
+    y_hat = nn_estimate(inst, y)
+    tol = 1e-6 * (1.0 + float(y @ y))
+    assert vertex_vi_residual(inst.scaled_design(), y, 1.0, y_hat) <= tol
+    assert np.linalg.norm(y_hat - x) <= np.sqrt(2.0 * tol)
 
 
 def test_nn_estimate_checks_length():

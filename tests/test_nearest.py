@@ -126,6 +126,18 @@ def test_l1_ls_iteration_cap_reported():
     assert sol.iterations == 3
 
 
+def test_l1_ls_sign_paired_columns():
+    # columns x and -x sum to zero, so the all-ones vector is in A's null
+    # space; the spectral bound must not start there and report L = 0
+    A = np.array([[1.0, -1.0]])
+    b = np.array([1.0])
+    sol = l1_ls(A, b, 1.0)
+    tol = 1e-6 * (1.0 + float(b @ b))
+    assert sol.converged
+    assert vertex_vi_residual(A, b, 1.0, sol.y_hat) <= tol
+    assert abs(sol.y_hat[0] - 1.0) <= np.sqrt(2.0 * tol)
+
+
 def test_solve_options_default_tolerance_scales_with_b():
     b = np.array([100.0, 100.0])
     sol = l1_ls(np.eye(2), b, 1.0)

@@ -183,3 +183,77 @@ def test_profile_never_loses_to_pca():
                 continue
             _, zp = pca_projection(X, int(k))
             assert zp >= prof.achieved[j] - 1e-9
+
+
+def _small_designs():
+    # seeded Gaussian designs plus degenerate ones: zero, duplicated and
+    # sign-paired columns, a single column, rank deficiency
+    rng = np.random.default_rng(31)
+    shapes = [(2, 3), (3, 5), (3, 6), (4, 7), (4, 9), (5, 8)]
+    designs = [rng.normal(size=shape) for shape in shapes]
+    Z = rng.normal(size=(3, 4))
+    Z[:, 1] = 0.0
+    D = rng.normal(size=(3, 3))
+    designs += [
+        Z,
+        np.column_stack([D, D[:, 0]]),
+        np.column_stack([D, -D]),
+        rng.normal(size=(3, 1)),
+        rng.normal(size=(4, 2)) @ rng.normal(size=(2, 6)),
+        np.array([[0.0, -1.1857198050052338], [0.0, 0.513052133880305], [0.0, 0.0]]),
+    ]
+    return designs
+
+
+def test_relaxation_invariants_on_small_designs():
+    opts = WidthOptions(max_iter=300)
+    for X in _small_designs():
+        n = X.shape[0]
+        sqn = np.einsum("ij,ij->j", X, X)
+        for k in range(1, n):
+            res = width_relaxation_solve(X, k, opts)
+            Z = res.z_star
+            assert np.max(np.abs(Z - Z.T)) <= 1e-12
+            w = np.linalg.eigvalsh(Z)
+            assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
+            assert abs(np.trace(Z) - (n - k)) <= 1e-9
+            f = float(np.max(np.einsum("ij,ij->j", X, Z @ X)))
+            floor = 1e-12 * float(np.max(sqn))
+            assert abs(res.t_star + res.gap - f) <= 1e-9 * f + floor
+            assert res.converged == (res.gap <= opts.tol * f + floor)
+            if n <= 3:
+                assert np.sqrt(res.t_star) <= width_bruteforce(X, k) * (1.0 + 1e-6) + 1e-9
+
+
+def test_profile_zero_column_designs():
+    # zero columns must neither poison the relaxation nor break the sandwich
+    rng = np.random.default_rng(77)
+    designs = [np.array([[0.0, -1.1857198050052338], [0.0, 0.513052133880305], [0.0, 0.0]])]
+    for _ in range(20):
+        X = rng.normal(size=(int(rng.integers(2, 5)), int(rng.integers(2, 6))))
+        X[:, int(rng.integers(X.shape[1]))] = 0.0
+        designs.append(X)
+    for i, X in enumerate(designs):
+        prof = width_profile(X, WidthOptions(seed=i, max_iter=300, repeats=8))
+        assert np.all(np.isfinite(prof.relax_lower)) and np.all(np.isfinite(prof.achieved))
+        assert np.all(prof.relax_lower <= prof.achieved + 1e-9)
+
+
+def test_profile_lower_bounds_not_below_frozen():
+    # relax_lower of the former primal-subgradient solver on this design,
+    # frozen; the certified lower side may only rise
+    frozen = [
+        3.381422416700435,
+        2.68911449172286,
+        2.2673459857183267,
+        1.8789936163789678,
+        1.552707715780923,
+        1.2039223814065318,
+        0.8495524583533683,
+        0.5481509330888688,
+        0.0,
+    ]
+    X = np.random.default_rng(1).standard_normal((8, 24))
+    prof = width_profile(X, WidthOptions(seed=1))
+    assert np.all(prof.relax_lower >= np.asarray(frozen) * (1.0 - 1e-4))
+    assert np.all(prof.relax_lower <= prof.achieved + 1e-9)
